@@ -58,7 +58,7 @@ done
 
 echo "== data-plane smoke (dataplane quick + fig1 indexed-vs-linear diff)"
 # The tuple-space index must forward bit-identically to the linear scan:
-# --diff-fig1 probes the Figure 1 exchange (base table, fast-path overlay
+# --diff-fig1 probes the Figure 1 exchange (base table, fast-path delta
 # churn, overlay retirement) through both paths and exits non-zero on any
 # difference. The quick bench run checks the JSON artifact shape.
 target/release/dataplane --diff-fig1
@@ -87,6 +87,14 @@ fi
 grep -q '"shards":4' "$smoke_dir/dp4.json" || {
     echo "ci: dataplane json missing pinned shard count" >&2; exit 1
 }
+
+echo "== Figure 9 bit-identity (fig9 vs results/fig9.txt)"
+# Figure 9 counts the rules each BGP-update burst adds through the fast
+# path; its output is deterministic, so any drift from the committed table
+# is a behavior change in the incremental install path.
+if ! target/release/fig9 | diff - results/fig9.txt; then
+    echo "ci: fig9 output diverged from results/fig9.txt" >&2; exit 1
+fi
 
 echo "== sdx-lint scenarios"
 target/release/sdx-lint --quiet --verify scenarios/figure1.sdx

@@ -421,8 +421,9 @@ fn diff_fig1() {
     };
     run_grid(&mut indexed, &mut linear, "base");
 
-    // Fast-path churn: B withdraws 13.0.0.0/8, overlay rules stack above
-    // the base table on both sides; forwarding must stay identical.
+    // Fast-path churn: B withdraws 13.0.0.0/8, overlay rules land in the
+    // delta band above the base table on both sides; forwarding must stay
+    // identical.
     for sim in [&mut indexed, &mut linear] {
         sim.runtime_mut().withdraw(B, [p("13.0.0.0/8")]);
         sim.sync();

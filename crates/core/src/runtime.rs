@@ -7,9 +7,11 @@
 //! * [`SdxRuntime::compile`] — the full pipeline: recompute FECs and VNHs,
 //!   rebuild the fabric table, re-bind ARP, refresh advertisements.
 //! * the **fast path**, invoked automatically from
-//!   [`SdxRuntime::apply_update`]: allocate a *fresh* VNH for each touched
-//!   prefix, compile only the rules mentioning its VMAC, and push them as
-//!   higher-priority overlay rules. Optimality is recovered later by
+//!   [`SdxRuntime::apply_update_delta`] (and [`SdxRuntime::apply_update`],
+//!   which delegates to it): allocate a *fresh* VNH for each touched
+//!   prefix, compile only the rules mentioning its VMAC, and swap them in
+//!   by a make-before-break rule delta in a fixed priority band just above
+//!   the base table. Optimality is recovered later by
 //!   [`SdxRuntime::reoptimize`], the "background" stage.
 
 use std::collections::BTreeMap;
@@ -37,7 +39,8 @@ use crate::{Participant, ParticipantId, ParticipantPolicy};
 type AdvertMap = BTreeMap<sdx_bgp::PeerId, std::collections::BTreeSet<sdx_bgp::PeerId>>;
 
 /// One fast-path overlay: a prefix re-homed onto a fresh VNH after a BGP
-/// update, with its rules installed above the base table.
+/// update, with its rules installed in the delta band above the base table
+/// (replacing the prefix's previous overlay, never stacking on it).
 #[derive(Debug, Clone)]
 pub struct Overlay {
     /// The prefix the overlay covers.
@@ -61,17 +64,15 @@ pub struct IncrementalStats {
     pub overlay_rules: usize,
     /// Microseconds spent in the most recent fast-path update.
     pub last_update_us: u64,
-    /// Fast-path overlay installs refused by the flow table (priority space
-    /// exhausted); the background recompilation recovers these.
+    /// Fast-path installs refused because the fragment's band would
+    /// overflow the 32-bit priority space above the base table; the
+    /// background recompilation recovers these.
     pub install_errors: u64,
     /// Fast-path updates that found the VNH pool exhausted. The previous
     /// overlay (or base table) keeps serving the prefix — stale but
     /// forwarding — and [`SdxRuntime::needs_reoptimize`] is raised so the
     /// background stage recovers promptly.
     pub overlay_exhausted: u64,
-    /// Updates processed through the rule-level delta path
-    /// ([`SdxRuntime::apply_update_delta`]).
-    pub delta_events: u64,
     /// Individual rules installed by the delta path.
     pub delta_installed: u64,
     /// Individual rules removed by the delta path.
@@ -643,32 +644,19 @@ impl SdxRuntime {
             .collect()
     }
 
-    /// Ingest a BGP update from a participant. If a compilation is active,
-    /// every touched prefix goes through the fast path (fresh VNH + overlay
-    /// rules). Returns the touched prefixes.
+    /// Ingest a BGP update from a participant through
+    /// [`apply_update_delta`](Self::apply_update_delta), dropping the
+    /// aggregate rule delta. Returns the touched prefixes.
     pub fn apply_update(&mut self, from: ParticipantId, update: &Update) -> Vec<Prefix> {
-        let touched = self.ingest_update(from, update);
-        if self.compilation.is_some() {
-            let start = Instant::now();
-            for prefix in &touched {
-                self.fast_path(*prefix);
-            }
-            self.incremental.updates = self
-                .incremental
-                .updates
-                .saturating_add(touched.len() as u64);
-            self.incremental.last_update_us =
-                u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
-        }
-        touched
+        self.apply_update_delta(from, update).0
     }
 
-    /// The streaming-churn variant of [`apply_update`](Self::apply_update):
+    /// Ingest a BGP update from a participant. If a compilation is active,
     /// every touched prefix is migrated by **rule-level deltas** computed
     /// via `sdx_plan::diff` against the live table and applied in
     /// make-before-break order at a fixed priority band just above the base
-    /// table — no overlay stacking, no classifier rebuild. Returns the
-    /// touched prefixes and the aggregate rule delta.
+    /// table — no classifier rebuild. Returns the touched prefixes and the
+    /// aggregate rule delta.
     pub fn apply_update_delta(
         &mut self,
         from: ParticipantId,
@@ -687,10 +675,6 @@ impl SdxRuntime {
             self.incremental.updates = self
                 .incremental
                 .updates
-                .saturating_add(touched.len() as u64);
-            self.incremental.delta_events = self
-                .incremental
-                .delta_events
                 .saturating_add(touched.len() as u64);
             self.incremental.last_update_us =
                 u64::try_from(start.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -768,74 +752,16 @@ impl SdxRuntime {
     }
 
     /// §4.3.2's fast stage for one prefix: assume a new VNH is needed,
-    /// compile only the rules mentioning the fresh VMAC, and push them with
-    /// priority above the base table.
-    fn fast_path(&mut self, prefix: Prefix) {
-        // A prefix with no remaining candidates needs no rules: the
-        // withdrawal propagates via BGP and routers stop tagging it.
-        if self.route_server.best_route_global(&prefix).is_none() {
-            self.retire_overlay(prefix);
-            return;
-        }
-
-        // Allocate *before* retiring the previous overlay: when the pool is
-        // exhausted the stale overlay keeps forwarding the prefix (its VNH
-        // is still advertised and its rules still present) instead of
-        // leaving it ruleless until someone happens to recompile. The
-        // condition is counted and flags the background stage.
-        let Some((vnh, vmac)) = self.alloc.allocate() else {
-            self.incremental.overlay_exhausted =
-                self.incremental.overlay_exhausted.saturating_add(1);
-            self.needs_reoptimize = true;
-            return;
-        };
-        let overlay_rules = self.fragment_for(&prefix, vmac);
-        self.retire_overlay(prefix);
-
-        let cookie = self.next_cookie;
-        self.next_cookie += 1;
-        let n = overlay_rules.len();
-        // The table computes the priority boost from its own ceiling, so
-        // repeated overlays stack strictly above the base table and each
-        // other — no collision with base priorities is possible. The append
-        // can still exhaust the priority space after enough stacked
-        // overlays; that is an operational condition, not a bug: leave the
-        // base table serving the prefix and let the background
-        // recompilation reset the ceiling.
-        let goto = self.options.multi_table.then_some(1);
-        if self
-            .switch
-            .master_mut()
-            .table_mut()
-            .append_rules_above(&overlay_rules, cookie, goto)
-            .is_err()
-        {
-            self.incremental.install_errors = self.incremental.install_errors.saturating_add(1);
-            self.needs_reoptimize = true;
-            return;
-        }
-        self.arp.bind(vnh, vmac);
-        self.incremental.overlay_rules = self.incremental.overlay_rules.saturating_add(n);
-        self.overlays.push(Overlay {
-            prefix,
-            vnh,
-            vmac,
-            cookie,
-            rules: n,
-        });
-    }
-
-    /// The steady-path variant of [`fast_path`](Self::fast_path): migrate
-    /// `prefix` by a rule-level delta instead of an overlay append. The old
-    /// fragment's live rules (identified by the retiring overlay's cookie)
-    /// and the freshly compiled fragment are diffed with `sdx_plan::diff`,
-    /// and the steps are applied in make-before-break order: installs
-    /// first, removals after. Because every fragment rule is pinned to an
-    /// exact, never-reused VMAC tag, the two sides match disjoint packets
-    /// and every intermediate state is per-packet consistent. New rules
-    /// occupy the *fixed* priority band immediately above the base table
-    /// (`delta_base`), so sustained churn does not ratchet the priority
-    /// ceiling the way stacked overlays do.
+    /// compile only the rules mentioning the fresh VMAC, and migrate
+    /// `prefix` onto them by a rule-level delta. The old fragment's live
+    /// rules (identified by the retiring overlay's cookie) and the freshly
+    /// compiled fragment are diffed with `sdx_plan::diff`, and the steps are
+    /// applied in make-before-break order: installs first, removals after.
+    /// Because every fragment rule is pinned to an exact, never-reused VMAC
+    /// tag, the two sides match disjoint packets and every intermediate
+    /// state is per-packet consistent. New rules occupy the *fixed* priority
+    /// band immediately above the base table (`delta_base`), so sustained
+    /// churn never ratchets the priority ceiling.
     fn fast_path_delta(&mut self, prefix: Prefix) -> DeltaInstall {
         if self.route_server.best_route_global(&prefix).is_none() {
             // Withdrawal: the only rules to go are the retiring overlay's,
@@ -873,6 +799,10 @@ impl SdxRuntime {
             };
         }
 
+        // Allocate *before* retiring the previous overlay: when the pool is
+        // exhausted the stale overlay keeps forwarding the prefix (its VNH
+        // is still advertised and its rules still present), the condition
+        // is counted, and the background stage is flagged.
         let Some((vnh, vmac)) = self.alloc.allocate() else {
             self.incremental.overlay_exhausted =
                 self.incremental.overlay_exhausted.saturating_add(1);

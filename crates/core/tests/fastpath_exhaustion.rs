@@ -1,14 +1,21 @@
 //! Fast-path degradation regressions: VNH-pool exhaustion must *degrade*
 //! (keep the stale overlay forwarding, raise `needs_reoptimize`) instead of
-//! silently dropping the update, and overlay-rule accounting must survive
-//! churn → recompile → churn interleavings without underflow.
+//! silently dropping the update, overlay-rule accounting must survive
+//! churn → recompile → churn interleavings without underflow, and the
+//! priority ceiling must stay bounded under sustained churn through every
+//! public update entry point.
 
 use std::net::Ipv4Addr;
 
-use sdx_bgp::{AsPath, Asn, PathAttributes, Update};
+use sdx_bgp::session::Endpoint;
+use sdx_bgp::wire::Message;
+use sdx_bgp::{
+    AsPath, Asn, PathAttributes, RouterId, Session, SessionAction, SessionConfig, SessionEvent,
+    Update,
+};
 use sdx_core::{
-    Clause, CompileOptions, FabricSim, Participant, ParticipantId, ParticipantPolicy, PortConfig,
-    SdxRuntime,
+    Clause, CompileOptions, ControlPlane, FabricSim, Participant, ParticipantId, ParticipantPolicy,
+    PortConfig, SdxRuntime,
 };
 use sdx_ip::Prefix;
 use sdx_policy::{match_, Field, Packet};
@@ -165,7 +172,7 @@ fn overlay_accounting_survives_recompile_interleaving() {
 
     let live = |sdx: &SdxRuntime| -> usize { sdx.overlays().iter().map(|o| o.rules).sum() };
 
-    // Churn both prefixes through the legacy and the delta fast paths.
+    // Churn both prefixes through `announce` and `apply_update_delta`.
     for i in 0..4u32 {
         flip(&mut sdx, i);
         let (_, delta) = sdx.apply_update_delta(
@@ -188,8 +195,9 @@ fn overlay_accounting_survives_recompile_interleaving() {
     sdx.apply_update(C, &Update::withdraw([p("11.0.0.0/8")]));
     assert_eq!(sdx.incremental_stats().overlay_rules, live(&sdx));
 
-    // Fresh churn after the recompile accounts from zero again, on both
-    // paths, and withdrawing everything returns the counter to zero.
+    // Fresh churn after the recompile accounts from zero again, through
+    // both entry points, and withdrawing everything returns the counter to
+    // zero.
     for i in 0..3u32 {
         sdx.apply_update_delta(
             B,
@@ -204,4 +212,124 @@ fn overlay_accounting_survives_recompile_interleaving() {
     assert_eq!(sdx.incremental_stats().overlay_rules, live(&sdx));
     assert_eq!(sdx.overlays().len(), 0);
     assert_eq!(sdx.incremental_stats().overlay_rules, 0);
+}
+
+/// The base table's ceiling plus the widest fragment seen so far: the
+/// highest priority the delta band can reach.
+fn band_bound(sdx: &SdxRuntime, ceiling: u32, widest: &mut usize) -> u32 {
+    *widest = sdx
+        .overlays()
+        .iter()
+        .map(|o| o.rules)
+        .fold(*widest, usize::max);
+    ceiling + *widest as u32
+}
+
+/// Interleaved churn through `announce` (flip 11/8, re-announce 12/8)
+/// re-homes each prefix in the fixed band above the base table: the
+/// priority ceiling never ratchets upward with the number of updates.
+#[test]
+fn announce_churn_keeps_priority_ceiling_bounded() {
+    let mut sdx = exchange();
+    sdx.compile().unwrap();
+    let ceiling = sdx.switch().table().max_priority().unwrap();
+    let mut widest = 0;
+    for i in 0..40u32 {
+        flip(&mut sdx, i);
+        sdx.announce(B, [p("12.0.0.0/8")], attrs(&[200, 900 + i], B_NH));
+        let bound = band_bound(&sdx, ceiling, &mut widest);
+        let max = sdx.switch().table().max_priority().unwrap();
+        assert!(max <= bound, "update {i}: ceiling {max} > {bound}");
+    }
+    assert!(widest > 0, "churn installed no overlay");
+    assert_eq!(sdx.incremental_stats().updates, 80);
+    assert_eq!(sdx.incremental_stats().install_errors, 0);
+}
+
+/// A participant border router speaking BGP to the control plane.
+struct Router {
+    session: Session,
+    endpoint: Endpoint,
+}
+
+impl Router {
+    fn connect(cp: &mut ControlPlane, id: ParticipantId, asn: u32) -> Self {
+        let mut r = Router {
+            session: Session::new(SessionConfig {
+                asn: Asn(asn),
+                router_id: RouterId(asn),
+                hold_time: 90,
+            }),
+            endpoint: cp.connect(id),
+        };
+        let mut actions = r.session.handle(SessionEvent::ManualStart);
+        actions.extend(r.session.handle(SessionEvent::TransportUp));
+        r.run(actions);
+        r
+    }
+
+    fn run(&mut self, actions: Vec<SessionAction>) {
+        for action in actions {
+            if let SessionAction::Send(msg) = action {
+                self.endpoint.send(&msg);
+            }
+        }
+    }
+
+    /// Drain the route server's messages (handshake and re-advertisements).
+    fn pump(&mut self) {
+        while let Ok(Some(msg)) = self.endpoint.recv() {
+            let actions = self.session.handle(SessionEvent::Message(msg));
+            self.run(actions);
+        }
+    }
+
+    fn send(&mut self, update: Update) {
+        self.endpoint.send(&Message::Update(update));
+    }
+}
+
+fn converge(cp: &mut ControlPlane, routers: &mut [&mut Router]) {
+    for _ in 0..10 {
+        cp.pump();
+        for r in routers.iter_mut() {
+            r.pump();
+        }
+    }
+}
+
+/// The same churn arriving as BGP UPDATEs over established sessions and
+/// applied by `ControlPlane::pump` keeps the ceiling bounded too.
+#[test]
+fn pump_churn_keeps_priority_ceiling_bounded() {
+    let mut cp = ControlPlane::new(exchange());
+    let mut rb = Router::connect(&mut cp, B, 200);
+    let mut rc = Router::connect(&mut cp, C, 300);
+    converge(&mut cp, &mut [&mut rb, &mut rc]);
+    assert!(cp.is_established(B) && cp.is_established(C));
+    cp.compile_and_advertise().unwrap();
+    converge(&mut cp, &mut [&mut rb, &mut rc]);
+
+    let ceiling = cp.runtime().switch().table().max_priority().unwrap();
+    let mut widest = 0;
+    for i in 0..40u32 {
+        let path = if i.is_multiple_of(2) {
+            vec![300, 300, 300 + i]
+        } else {
+            vec![300]
+        };
+        rc.send(Update::announce([p("11.0.0.0/8")], attrs(&path, C_NH)));
+        rb.send(Update::announce(
+            [p("12.0.0.0/8")],
+            attrs(&[200, 900 + i], B_NH),
+        ));
+        assert_eq!(cp.pump(), 2, "both UPDATEs applied");
+        rb.pump();
+        rc.pump();
+        let bound = band_bound(cp.runtime(), ceiling, &mut widest);
+        let max = cp.runtime().switch().table().max_priority().unwrap();
+        assert!(max <= bound, "update {i}: ceiling {max} > {bound}");
+    }
+    assert!(widest > 0, "churn installed no overlay");
+    assert_eq!(cp.runtime().incremental_stats().install_errors, 0);
 }

@@ -25,7 +25,7 @@
 //! of table size.
 //!
 //! The index is maintained incrementally on [`insert`](TableIndex::insert)
-//! (the §4.3.2 fast path appends overlay rules constantly) and rebuilt from
+//! (the §4.3.2 fast path installs fragment rules constantly) and rebuilt from
 //! scratch only on removal, which in the SDX workload happens orders of
 //! magnitude less often than insertion or lookup.
 

@@ -1,41 +1,10 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use sdx_policy::{Action, Classifier, Match, Packet, Rule};
+use sdx_policy::{Action, Classifier, Match, Packet};
 use serde::{Deserialize, Serialize};
 
 use crate::index::{IndexStats, TableIndex};
-
-/// Why a rule installation was refused. Installation paths that stack rule
-/// bands above existing contents can run the 32-bit priority space dry; that
-/// is an operational condition (recoverable by a background recompilation),
-/// not a programming error, so it surfaces as a typed error instead of a
-/// panic.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum InstallError {
-    /// Appending `rules` rules above priority ceiling `ceiling` would
-    /// overflow the 32-bit priority space.
-    PriorityExhausted {
-        /// The table's priority ceiling before the append.
-        ceiling: u32,
-        /// How many rules the append needed above it.
-        rules: u32,
-    },
-}
-
-impl fmt::Display for InstallError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InstallError::PriorityExhausted { ceiling, rules } => write!(
-                f,
-                "flow-table priority space exhausted: cannot stack {rules} \
-                 rule(s) above priority {ceiling}"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for InstallError {}
 
 /// A single flow-table entry: an OpenFlow-style (priority, match, actions)
 /// triple.
@@ -252,9 +221,9 @@ impl FlowTable {
         self.append_classifier(classifier, cookie, 0);
     }
 
-    /// Append a classifier's rules *above* the existing table contents
-    /// (used by the fast path of §4.3.2, which pushes higher-priority rules
-    /// for updated prefixes without recompiling the rest).
+    /// Append a classifier's rules *above* priority `priority_boost`,
+    /// preserving first-match-wins order (how full compiles install each
+    /// pipeline stage; incremental updates install rule by rule instead).
     pub fn append_classifier(&mut self, classifier: &Classifier, cookie: u64, priority_boost: u32) {
         self.append_classifier_goto(classifier, cookie, priority_boost, None);
     }
@@ -265,13 +234,10 @@ impl FlowTable {
     ///
     /// The appended band occupies priorities `priority_boost + 1 ..=
     /// priority_boost + classifier.len()`. **Invariant:** `priority_boost`
-    /// must be at least the table's current [`max_priority`]
-    /// (self::max_priority), so repeated overlay appends stack strictly
+    /// must be at least the table's current
+    /// [`max_priority`](Self::max_priority), so the band stacks strictly
     /// above everything already installed and can never collide or
-    /// interleave with the base table's priorities. Callers that just want
-    /// "on top of whatever is there" should use
-    /// [`append_rules_above`](Self::append_rules_above), which computes the
-    /// boost itself.
+    /// interleave with existing priorities.
     pub fn append_classifier_goto(
         &mut self,
         classifier: &Classifier,
@@ -303,45 +269,6 @@ impl FlowTable {
             }
             self.install(fr);
         }
-    }
-
-    /// Append bare rules strictly above everything installed, preserving
-    /// their order (earlier = higher priority): the §4.3.2 fast-path overlay
-    /// primitive. Computes the priority boost from the table's own
-    /// [`max_priority`](Self::max_priority), so repeated appends are
-    /// collision-free by construction. Non-drop rules get `goto` when given.
-    /// Returns the boost used (the priority ceiling *before* the append), or
-    /// [`InstallError::PriorityExhausted`] — without installing anything —
-    /// when the band would overflow the priority space (a long-lived runtime
-    /// stacking overlays can get here; a background recompilation resets the
-    /// ceiling and recovers).
-    pub fn append_rules_above(
-        &mut self,
-        rules: &[Rule],
-        cookie: u64,
-        goto: Option<usize>,
-    ) -> Result<u32, InstallError> {
-        let boost = self.max_priority().unwrap_or(0);
-        let n = rules.len() as u32;
-        if boost.checked_add(n).is_none() {
-            return Err(InstallError::PriorityExhausted {
-                ceiling: boost,
-                rules: n,
-            });
-        }
-        for (i, rule) in rules.iter().enumerate() {
-            let mut fr = FlowRule::new(
-                boost + n - i as u32,
-                rule.match_.clone(),
-                rule.actions.clone(),
-            )
-            .with_cookie(cookie);
-            if let (Some(t), false) = (goto, rule.is_drop()) {
-                fr = fr.with_goto(t);
-            }
-            self.install(fr);
-        }
-        Ok(boost)
     }
 
     /// Remove the first installed rule whose behavior-relevant fields equal
@@ -586,61 +513,6 @@ mod tests {
         // Removing the overlay restores the original behavior.
         t.remove_by_cookie(2);
         assert_eq!(t.peek(&pkt).unwrap().actions[0].get(Field::Port), Some(1));
-    }
-
-    #[test]
-    fn append_rules_above_stacks_collision_free() {
-        use sdx_policy::{fwd, match_};
-        let mut t = FlowTable::new();
-        t.install_classifier(&(match_(Field::DstPort, 80u16) >> fwd(1)).compile(), 1);
-        let base_max = t.max_priority().unwrap();
-        // Two successive overlays: each must land strictly above everything
-        // before it, later appends shadowing earlier ones.
-        let overlay = |to: u32| {
-            (match_(Field::DstPort, 80u16) >> fwd(to))
-                .compile()
-                .rules()
-                .to_vec()
-        };
-        let boost1 = t.append_rules_above(&overlay(2), 2, None).unwrap();
-        assert_eq!(boost1, base_max);
-        let max1 = t.max_priority().unwrap();
-        assert!(max1 > base_max);
-        let boost2 = t.append_rules_above(&overlay(3), 3, Some(1)).unwrap();
-        assert_eq!(boost2, max1);
-
-        let pkt = Packet::new().with(Field::DstPort, 80u16);
-        let hit = t.peek(&pkt).unwrap();
-        assert_eq!(hit.actions[0].get(Field::Port), Some(3));
-        assert_eq!(hit.goto_table, Some(1));
-        // Unwinding the overlays restores each previous layer.
-        t.remove_by_cookie(3);
-        assert_eq!(t.peek(&pkt).unwrap().actions[0].get(Field::Port), Some(2));
-        t.remove_by_cookie(2);
-        assert_eq!(t.peek(&pkt).unwrap().actions[0].get(Field::Port), Some(1));
-    }
-
-    #[test]
-    fn append_rules_above_surfaces_priority_exhaustion() {
-        use sdx_policy::{fwd, match_};
-        let mut t = FlowTable::new();
-        // A rule already sitting at the priority ceiling: any further band
-        // must be refused, and refused atomically (nothing installed).
-        t.install(FlowRule::new(u32::MAX, m(1), vec![]));
-        let overlay = (match_(Field::DstPort, 80u16) >> fwd(2))
-            .compile()
-            .rules()
-            .to_vec();
-        let err = t.append_rules_above(&overlay, 2, None).unwrap_err();
-        assert!(matches!(
-            err,
-            InstallError::PriorityExhausted {
-                ceiling: u32::MAX,
-                ..
-            }
-        ));
-        assert!(err.to_string().contains("priority space exhausted"));
-        assert_eq!(t.len(), 1);
     }
 
     #[test]
