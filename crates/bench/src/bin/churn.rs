@@ -13,11 +13,12 @@
 //! Three runs land in the artifact:
 //! 1. `churn` — the unchecked baseline (as in prior revisions).
 //! 2. `churn_checked` — the same trace with `delta_check = Deny`: every
-//!    streamed delta passes the incremental header-space verifier before
-//!    install. Records verdict counts, per-event check percentiles, and
+//!    streamed delta passes the fresh-tag certificate before install.
+//!    Records verdict counts, per-event check percentiles (µs and ns), and
 //!    the throughput ratio against the baseline.
 //! 3. `churn_delta_scale` — a 200-participant fabric with sparse
-//!    from-scratch sampling: incremental vs from-scratch check latency
+//!    from-scratch sampling, so the incremental header-space checker holds
+//!    every verdict: incremental vs from-scratch check latency
 //!    percentiles, the p50 speedup, and verdict-agreement counts.
 //!
 //! Exits nonzero when fingerprints differ, no update was processed, or a
@@ -84,7 +85,7 @@ fn delta_check_fields(r: &ChurnReport) -> String {
             ",\"delta_checked\":{},\"delta_certified\":{},\"delta_structural\":{},",
             "\"delta_reordered\":{},\"delta_rejected\":{},\"delta_denied\":{},",
             "\"check_p50_us\":{},\"check_p99_us\":{},\"check_max_us\":{},",
-            "\"check_total_us\":{}"
+            "\"check_total_us\":{},\"check_p50_ns\":{},\"check_p99_ns\":{},\"check_max_ns\":{}"
         ),
         r.delta_checked,
         r.delta_certified,
@@ -96,6 +97,9 @@ fn delta_check_fields(r: &ChurnReport) -> String {
         r.check_p99_us,
         r.check_max_us,
         r.check_total_us,
+        r.check_p50_ns,
+        r.check_p99_ns,
+        r.check_max_ns,
     )
 }
 
@@ -169,9 +173,10 @@ fn main() {
     );
     println!("# fingerprint streamed {streamed_fp:016x}");
     println!("# fingerprint batch    {batch_fp:016x}");
-    // Checked run: identical trace, every streamed delta gated by the
-    // incremental verifier in Deny mode. No from-scratch sampling — the
-    // throughput figure isolates the incremental checker's overhead.
+    // Checked run: identical trace, every streamed delta gated in Deny
+    // mode. No from-scratch sampling, so the gate runs the fresh-tag
+    // certificate with no model — the throughput figure isolates its
+    // overhead.
     let checked_opts = CompileOptions {
         delta_check: AnalysisMode::Deny,
         ..CompileOptions::default()
@@ -186,7 +191,7 @@ fn main() {
     let checked_ratio = checked.updates_per_sec / report.updates_per_sec.max(f64::EPSILON);
     eprintln!(
         "churn_checked: {:.0} updates/s ({:.2}x baseline), {} checked \
-         ({} structural, {} reordered, {} rejected, {} denied), check p50 {} us p99 {} us",
+         ({} structural, {} reordered, {} rejected, {} denied), check p50 {} ns p99 {} ns",
         checked.updates_per_sec,
         checked_ratio,
         checked.delta_checked,
@@ -194,8 +199,8 @@ fn main() {
         checked.delta_reordered,
         checked.delta_rejected,
         checked.delta_denied,
-        checked.check_p50_us,
-        checked.check_p99_us
+        checked.check_p50_ns,
+        checked.check_p99_ns
     );
 
     // Scale run: a 200-participant fabric with sparse from-scratch

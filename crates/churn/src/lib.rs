@@ -126,14 +126,21 @@ pub struct ChurnReport {
     /// … denied install under `delta_check = Deny` (degraded to a forced
     /// reoptimize).
     pub delta_denied: u64,
-    /// Per-event incremental check latency, p50 µs (0 when unchecked).
+    /// Per-event delta check latency, p50 µs (0 when unchecked).
     pub check_p50_us: u64,
     /// … p99 µs.
     pub check_p99_us: u64,
     /// … worst case µs.
     pub check_max_us: u64,
-    /// Total µs spent in incremental delta checking.
+    /// Total µs spent in delta checking.
     pub check_total_us: u64,
+    /// Per-event delta check latency, p50 ns: the fresh-tag certificate
+    /// takes well under a microsecond, which the µs fields round to 0.
+    pub check_p50_ns: u64,
+    /// … p99 ns.
+    pub check_p99_ns: u64,
+    /// … worst case ns.
+    pub check_max_ns: u64,
 }
 
 /// The engine: owns the runtime, the trace, the probe routers, and the
@@ -147,7 +154,7 @@ pub struct ChurnEngine {
     replay_frames: Vec<Packet>,
     out: BatchOutput,
     latencies_us: Vec<u64>,
-    check_us: Vec<u64>,
+    check_ns: Vec<u64>,
     report: ChurnReport,
     delta_rules_total: u64,
     update_busy: Duration,
@@ -165,7 +172,7 @@ impl ChurnEngine {
             replay_frames: Vec::new(),
             out: BatchOutput::new(),
             latencies_us: Vec::new(),
-            check_us: Vec::new(),
+            check_ns: Vec::new(),
             report: ChurnReport::default(),
             delta_rules_total: 0,
             update_busy: Duration::ZERO,
@@ -239,8 +246,8 @@ impl ChurnEngine {
         self.report.wall_s = wall.elapsed().as_secs_f64();
         self.report.updates_per_sec =
             self.report.events as f64 / self.report.update_busy_s.max(f64::EPSILON);
-        self.report.convergence_p50_us = percentile_us(&self.latencies_us, 0.50);
-        self.report.convergence_p99_us = percentile_us(&self.latencies_us, 0.99);
+        self.report.convergence_p50_us = percentile(&self.latencies_us, 0.50);
+        self.report.convergence_p99_us = percentile(&self.latencies_us, 0.99);
         self.report.convergence_max_us = self.latencies_us.last().copied().unwrap_or(0);
         self.report.convergence_samples = self.latencies_us.len();
         self.report.delta_installed = incremental.delta_installed;
@@ -257,10 +264,13 @@ impl ChurnEngine {
         self.report.delta_rejected = incremental.delta_rejected;
         self.report.delta_denied = incremental.delta_denied;
         self.report.check_total_us = incremental.delta_check_us;
-        self.check_us.sort_unstable();
-        self.report.check_p50_us = percentile_us(&self.check_us, 0.50);
-        self.report.check_p99_us = percentile_us(&self.check_us, 0.99);
-        self.report.check_max_us = self.check_us.last().copied().unwrap_or(0);
+        self.check_ns.sort_unstable();
+        self.report.check_p50_ns = percentile(&self.check_ns, 0.50);
+        self.report.check_p99_ns = percentile(&self.check_ns, 0.99);
+        self.report.check_max_ns = self.check_ns.last().copied().unwrap_or(0);
+        self.report.check_p50_us = self.report.check_p50_ns / 1_000;
+        self.report.check_p99_us = self.report.check_p99_ns / 1_000;
+        self.report.check_max_us = self.report.check_max_ns / 1_000;
         self.report.clone()
     }
 
@@ -274,11 +284,11 @@ impl ChurnEngine {
         let rules = delta.installed + delta.removed;
         self.report.delta_rules_max = self.report.delta_rules_max.max(rules);
         self.delta_rules_total = self.delta_rules_total.saturating_add(rules as u64);
-        // Per-event verifier latency: `last_check_us` accumulates across
+        // Per-event verifier latency: `last_check_ns` accumulates across
         // every prefix the event touched and resets on the next event.
         let inc = self.runtime.incremental_stats();
         if inc.delta_checked > checked_before {
-            self.check_us.push(inc.last_check_us);
+            self.check_ns.push(inc.last_check_ns);
         }
 
         // The fast path degraded (VNH exhaustion / refused install):
@@ -585,7 +595,7 @@ pub fn forwarding_fingerprint(
 }
 
 /// Nearest-rank percentile over an ascending-sorted sample.
-fn percentile_us(sorted: &[u64], p: f64) -> u64 {
+fn percentile(sorted: &[u64], p: f64) -> u64 {
     if sorted.is_empty() {
         return 0;
     }

@@ -77,13 +77,14 @@ pub struct IncrementalStats {
     pub delta_installed: u64,
     /// Individual rules removed by the delta path.
     pub delta_removed: u64,
-    /// Streamed deltas checked by the incremental verifier (0 when
+    /// Streamed deltas checked by the safety gate (0 when
     /// [`CompileOptions::delta_check`] is `Off`).
     pub delta_checked: u64,
     /// Checked deltas certified safe (structurally or symbolically).
     pub delta_certified: u64,
-    /// Certified deltas decided by the structural region-disjointness gate
-    /// alone (subset of `delta_certified`; zero symbolic work).
+    /// Certified deltas decided without symbolic work — by the fresh-tag
+    /// certificate, or by the incremental checker's structural gate when
+    /// it holds the verdict (subset of `delta_certified`).
     pub delta_structural: u64,
     /// Checked deltas whose proposed schedule was unsafe but a safe
     /// reordering was synthesized and installed.
@@ -94,12 +95,14 @@ pub struct IncrementalStats {
     /// `delta_check = Deny` (the stale overlay keeps forwarding and a full
     /// reoptimize is scheduled instead).
     pub delta_denied: u64,
-    /// Total microseconds spent in incremental delta checking.
+    /// Total nanoseconds spent in streamed delta checking.
+    pub delta_check_ns: u64,
+    /// `delta_check_ns` in whole microseconds.
     pub delta_check_us: u64,
-    /// Microseconds of incremental checking within the most recent
+    /// Nanoseconds of delta checking within the most recent
     /// [`SdxRuntime::apply_update_delta`] call (summed over its touched
     /// prefixes).
-    pub last_check_us: u64,
+    pub last_check_ns: u64,
 }
 
 /// The SDX controller runtime.
@@ -123,8 +126,10 @@ pub struct SdxRuntime {
     last_plan: Option<PlanReport>,
     needs_reoptimize: bool,
     delta_base: u32,
-    /// The persistent incremental delta verifier; `Some` once a compile ran
-    /// with [`CompileOptions::delta_check`] active (reseeded every compile).
+    /// The incremental delta verifier's emissions model; `Some` only while
+    /// [`CompileOptions::delta_check`] is active *and* evidence is asked
+    /// for (oracle sampling or naive judging) on a compiled runtime.
+    /// Otherwise the fresh-tag certificate gates deltas with no model.
     delta_checker: Option<sdx_plan::IncrementalChecker>,
     delta_judge_naive: bool,
     /// Run the from-scratch oracle on every nth checked delta (0 = never).
@@ -159,8 +164,14 @@ pub struct DeltaInstall {
 pub struct DeltaRecord {
     /// The prefix the delta migrated.
     pub prefix: Prefix,
-    /// The incremental checker's verdict and evidence.
+    /// The gate's verdict: the incremental checker's, with its evidence,
+    /// in evidence mode; otherwise the certificate's
+    /// ([`DeltaReport::from_certificate`](sdx_plan::DeltaReport::from_certificate)).
     pub report: sdx_plan::DeltaReport,
+    /// Did the delta pass the fresh-tag certificate
+    /// ([`sdx_plan::fresh_tag_certified`])? Without a model this alone
+    /// decided the verdict.
+    pub certificate: bool,
     /// The from-scratch oracle's report, when this event was sampled.
     pub from_scratch: Option<sdx_plan::DeltaReport>,
     /// Microseconds the from-scratch check took (0 when not sampled).
@@ -307,8 +318,10 @@ impl SdxRuntime {
         self.incremental
     }
 
-    /// The incremental delta verifier's internal counters (`None` until a
-    /// compile ran with [`CompileOptions::delta_check`] active).
+    /// The incremental delta verifier's internal counters: `None` unless
+    /// its model is live (see
+    /// [`set_delta_check_sample`](Self::set_delta_check_sample) and
+    /// [`set_delta_judge_naive`](Self::set_delta_judge_naive)).
     pub fn delta_checker_stats(&self) -> Option<sdx_plan::IncStats> {
         self.delta_checker.as_ref().map(|c| c.stats())
     }
@@ -327,8 +340,14 @@ impl SdxRuntime {
     /// Run the from-scratch checking oracle on every `n`th checked delta
     /// (0 = never), recording timing pairs and verdict agreement. The
     /// equivalence proptest uses 1; the bench a sparse sample.
+    ///
+    /// Sampling needs the incremental checker's emissions model, so `n > 0`
+    /// builds it — at once on a compiled runtime, else at the next
+    /// [`compile`](Self::compile) — and hands it the verdicts; the model is
+    /// dropped again once neither sampling nor naive judging is on.
     pub fn set_delta_check_sample(&mut self, n: u64) {
         self.delta_sample = n;
+        self.sync_delta_checker();
     }
 
     /// `(incremental µs, from-scratch µs)` timing pairs of the sampled
@@ -339,22 +358,57 @@ impl SdxRuntime {
 
     /// Fault injection: force the next `n` checked deltas through the
     /// deny path as if the verifier had found them unsafe. MBB fast-path
-    /// schedules are structurally safe by construction, so the Deny
+    /// schedules pass the fresh-tag certificate by construction, so the Deny
     /// recovery machinery (skip install, schedule a reoptimize, stamp
-    /// [`CompileStats::delta_deny_fallbacks`]) is unreachable from real
-    /// traffic — this hook keeps it testable end to end.
+    /// [`CompileStats::delta_deny_fallbacks`]) is reached from real
+    /// traffic only when a tag check fails — this hook keeps it testable
+    /// end to end.
     pub fn inject_delta_deny(&mut self, n: u64) {
         self.delta_deny_next = n;
     }
 
     /// Also judge the *naive* differ ordering of every checked delta
     /// (evidence for `sdx-lint --delta`; forces symbolic work per event).
-    /// Takes effect at the next [`compile`](Self::compile) reseed, or
-    /// immediately when the checker is already live.
+    /// Like [`set_delta_check_sample`](Self::set_delta_check_sample), this
+    /// builds the incremental checker's model — at once on a compiled
+    /// runtime, else at the next [`compile`](Self::compile) — and hands it
+    /// the verdicts while on.
     pub fn set_delta_judge_naive(&mut self, on: bool) {
         self.delta_judge_naive = on;
-        if let Some(c) = self.delta_checker.as_mut() {
-            c.set_judge_naive(on);
+        self.sync_delta_checker();
+    }
+
+    /// Does the streamed-delta gate want evidence from the incremental
+    /// checker's model (oracle sampling or naive judging)?
+    fn delta_evidence(&self) -> bool {
+        self.options.delta_check != AnalysisMode::Off
+            && (self.delta_sample > 0 || self.delta_judge_naive)
+    }
+
+    /// Build the incremental checker's model when evidence mode just
+    /// switched on, keep its naive-judging flag current, and drop the
+    /// model when evidence mode is off.
+    fn sync_delta_checker(&mut self) {
+        if !self.delta_evidence() {
+            self.delta_checker = None;
+        } else if let Some(c) = self.delta_checker.as_mut() {
+            c.set_judge_naive(self.delta_judge_naive);
+        } else {
+            self.seed_delta_checker();
+        }
+    }
+
+    /// (Re)seed the incremental checker's model from the installed state
+    /// (no-op before the first compile).
+    fn seed_delta_checker(&mut self) {
+        if let Some(vi) = self.verify_input() {
+            let state = self.installed_state();
+            let judge = self.delta_judge_naive;
+            let checker = self
+                .delta_checker
+                .get_or_insert_with(sdx_plan::IncrementalChecker::new);
+            checker.seed(&vi, &state);
+            checker.set_judge_naive(judge);
         }
     }
 
@@ -481,19 +535,12 @@ impl SdxRuntime {
         self.pending_deny_fallbacks = 0;
         let stats = compilation.stats;
         self.compilation = Some(compilation);
-        // Reseed the incremental delta verifier from the freshly installed
-        // state: the tables changed wholesale, so every cached partition and
-        // the whole emissions model start over.
-        if self.options.delta_check != AnalysisMode::Off {
-            if let Some(vi) = self.verify_input() {
-                let state = self.installed_state();
-                let judge = self.delta_judge_naive;
-                let checker = self
-                    .delta_checker
-                    .get_or_insert_with(sdx_plan::IncrementalChecker::new);
-                checker.seed(&vi, &state);
-                checker.set_judge_naive(judge);
-            }
+        // In evidence mode, reseed the incremental checker from the freshly
+        // installed state: the tables changed wholesale, so every cached
+        // partition and the whole emissions model start over. Otherwise the
+        // fresh-tag certificate needs no model at all.
+        if self.delta_evidence() {
+            self.seed_delta_checker();
         }
         Ok(stats)
     }
@@ -666,7 +713,7 @@ impl SdxRuntime {
         let mut total = DeltaInstall::default();
         if self.compilation.is_some() {
             let start = Instant::now();
-            self.incremental.last_check_us = 0;
+            self.incremental.last_check_ns = 0;
             for prefix in &touched {
                 let d = self.fast_path_delta(*prefix);
                 total.installed += d.installed;
@@ -767,20 +814,26 @@ impl SdxRuntime {
             // Withdrawal: the only rules to go are the retiring overlay's,
             // and the routers stop tagging the prefix — the removals are
             // post-barrier drains.
-            let checked = if self.delta_check_active() {
+            let checked = if self.options.delta_check != AnalysisMode::Off {
                 let old_state = self.overlay_state(&prefix);
-                let steps = sdx_plan::diff(&[old_state], &[TableState::new()]);
                 let schedule = sdx_plan::Schedule {
-                    order: steps.clone(),
+                    order: sdx_plan::diff(&[old_state], &[TableState::new()]),
                     barrier: 0,
                     two_phase: true,
                 };
-                let advert_now = self.delta_advert_now(&self.route_server.advert_map(&prefix));
-                self.check_streamed_delta(prefix, Vec::new(), advert_now, schedule, steps)
+                Some(self.check_streamed_delta(prefix, None, &schedule, |rt| {
+                    sdx_plan::DeltaEvent {
+                        prefix,
+                        adds: Vec::new(),
+                        advert_now: rt.delta_advert_now(&rt.route_server.advert_map(&prefix)),
+                        naive: schedule.order.clone(),
+                        schedule: schedule.clone(),
+                    }
+                }))
             } else {
                 None
             };
-            if matches!(checked, Some((_, true))) {
+            if matches!(checked, Some((true, _))) {
                 return DeltaInstall::default(); // denied; stale rules stay
             }
             let removed = self.retire_overlay(prefix);
@@ -788,7 +841,7 @@ impl SdxRuntime {
                 .incremental
                 .delta_removed
                 .saturating_add(removed as u64);
-            if let Some((ev, _)) = checked {
+            if let Some((_, Some(ev))) = checked {
                 if let Some(c) = self.delta_checker.as_mut() {
                     c.commit(&ev, &ev.schedule.order);
                 }
@@ -836,21 +889,29 @@ impl SdxRuntime {
         let steps = sdx_plan::diff(&[old_state], &[new_state]);
         let schedule = sdx_plan::make_before_break(&steps);
 
-        // ---- Incremental safety gate --------------------------------------
-        // Statically certify (or reorder, or reject) the schedule before a
-        // single rule moves. A denied delta installs nothing: the stale
+        // ---- Streamed-delta safety gate -----------------------------------
+        // Certify (or, with a model, reorder or reject) the schedule before
+        // a single rule moves. A denied delta installs nothing: the stale
         // overlay keeps forwarding and the scheduled full reoptimize
         // recovers. (The VNH allocated above stays consumed until that
         // reoptimize resets the pool — bounded by the deny window.)
-        let checked = if self.delta_check_active() {
-            let adverts = self.route_server.advert_map(&prefix);
-            let adds = self.delta_adds(&prefix, vmac, &adverts);
-            let advert_now = self.delta_advert_now(&adverts);
-            self.check_streamed_delta(prefix, adds, advert_now, schedule.clone(), steps)
+        let checked = if self.options.delta_check != AnalysisMode::Off {
+            Some(
+                self.check_streamed_delta(prefix, Some(vmac), &schedule, |rt| {
+                    let adverts = rt.route_server.advert_map(&prefix);
+                    sdx_plan::DeltaEvent {
+                        prefix,
+                        adds: rt.delta_adds(&prefix, vmac, &adverts),
+                        advert_now: rt.delta_advert_now(&adverts),
+                        schedule: schedule.clone(),
+                        naive: steps,
+                    }
+                }),
+            )
         } else {
             None
         };
-        if matches!(checked, Some((_, true))) {
+        if matches!(checked, Some((true, _))) {
             return DeltaInstall::default();
         }
 
@@ -891,17 +952,12 @@ impl SdxRuntime {
             cookie,
             rules: installed,
         });
-        if let Some((ev, _)) = checked {
+        if let Some((_, Some(ev))) = checked {
             if let Some(c) = self.delta_checker.as_mut() {
                 c.commit(&ev, &ev.schedule.order);
             }
         }
         DeltaInstall { installed, removed }
-    }
-
-    /// Is the streamed-delta safety gate on and seeded?
-    fn delta_check_active(&self) -> bool {
-        self.options.delta_check != AnalysisMode::Off && self.delta_checker.is_some()
     }
 
     /// The live rule content of the overlay covering `prefix` (empty when
@@ -914,6 +970,41 @@ impl SdxRuntime {
             ),
             None => TableState::new(),
         }
+    }
+
+    /// How many live bindings — compiled groups and fast-path overlays —
+    /// carry `vmac`.
+    fn tag_bindings(&self, vmac: MacAddr) -> usize {
+        let groups = self
+            .compilation
+            .as_ref()
+            .map_or(0, |c| c.vnh.iter().filter(|(_, m)| *m == vmac).count());
+        groups + self.overlays.iter().filter(|o| o.vmac == vmac).count()
+    }
+
+    /// The fresh-tag certificate for one streamed delta of `prefix`. The
+    /// tags are checked here, not assumed: `new_vmac` (issued for this
+    /// event) must be bound to nothing live, and the retiring overlay's tag
+    /// to that overlay alone. [`sdx_plan::fresh_tag_certified`] checks the
+    /// schedule's pinning against them.
+    fn fresh_tag_certificate(
+        &self,
+        prefix: &Prefix,
+        new_vmac: Option<MacAddr>,
+        schedule: &sdx_plan::Schedule,
+    ) -> bool {
+        let new_tag = new_vmac.filter(|m| self.tag_bindings(*m) == 0);
+        let old_tag = self
+            .overlays
+            .iter()
+            .find(|o| o.prefix == *prefix)
+            .map(|o| o.vmac)
+            .filter(|m| self.tag_bindings(*m) == 1);
+        sdx_plan::fresh_tag_certified(
+            schedule,
+            new_tag.map(|m| m.to_u64()),
+            old_tag.map(|m| m.to_u64()),
+        )
     }
 
     /// The emission keys that will carry `prefix` after it re-homes onto
@@ -966,43 +1057,52 @@ impl SdxRuntime {
         out
     }
 
-    /// Build, check, record, and (on `Deny` + unsafe) veto one streamed
-    /// delta. Returns `(event, denied)`; the caller must install and
-    /// [`commit`](sdx_plan::IncrementalChecker::commit) the event unless
-    /// `denied`.
+    /// Gate, record, and (on `Deny` + unsafe) veto one streamed delta
+    /// before it touches the tables. The fresh-tag certificate is evaluated
+    /// on every delta; without a model it is the verdict (certified, or
+    /// rejected). In evidence mode `event` builds the delta's
+    /// [`DeltaEvent`](sdx_plan::DeltaEvent), the incremental checker's
+    /// verdict is authoritative, and due events are cross-checked against
+    /// the from-scratch oracle. Returns `(denied, event)`; unless `denied`
+    /// the caller installs the delta and
+    /// [`commit`](sdx_plan::IncrementalChecker::commit)s the event, which
+    /// is `Some` exactly in evidence mode.
     fn check_streamed_delta(
         &mut self,
         prefix: Prefix,
-        adds: Vec<sdx_plan::EmissionKey>,
-        advert_now: Vec<(u32, u32)>,
-        schedule: sdx_plan::Schedule,
-        naive: Vec<sdx_plan::PlanStep>,
-    ) -> Option<(sdx_plan::DeltaEvent, bool)> {
-        let mut ev = sdx_plan::DeltaEvent {
-            prefix,
-            adds,
-            advert_now,
-            schedule,
-            naive,
-        };
-        ev.normalize();
+        new_vmac: Option<MacAddr>,
+        schedule: &sdx_plan::Schedule,
+        event: impl FnOnce(&Self) -> sdx_plan::DeltaEvent,
+    ) -> (bool, Option<sdx_plan::DeltaEvent>) {
+        let ev = self.delta_checker.is_some().then(|| {
+            let mut ev = event(self);
+            ev.normalize();
+            ev
+        });
         self.delta_events_checked = self.delta_events_checked.saturating_add(1);
         let sample_due =
             self.delta_sample > 0 && self.delta_events_checked.is_multiple_of(self.delta_sample);
 
         let start = Instant::now();
-        let need = self
-            .delta_checker
-            .as_ref()
-            .map(|c| c.needs_tables(&ev))
-            .unwrap_or(false);
-        let tables = (need || sample_due || self.delta_judge_naive).then(|| self.installed_state());
-        let mut report = self
-            .delta_checker
-            .as_mut()
-            .expect("delta_check_active checked by caller")
-            .check_delta(&ev, tables.as_deref());
-        report.check_us = clamp_us(start.elapsed().as_micros());
+        let certificate = self.fresh_tag_certificate(&prefix, new_vmac, schedule);
+        let mut tables = None;
+        let mut report = match &ev {
+            Some(ev) => {
+                let need = self
+                    .delta_checker
+                    .as_ref()
+                    .is_some_and(|c| c.needs_tables(ev));
+                tables =
+                    (need || sample_due || self.delta_judge_naive).then(|| self.installed_state());
+                self.delta_checker
+                    .as_mut()
+                    .expect("evidence events come with a checker")
+                    .check_delta(ev, tables.as_deref())
+            }
+            None => sdx_plan::DeltaReport::from_certificate(certificate),
+        };
+        let check_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        report.check_us = check_ns / 1_000;
 
         let s = &mut self.incremental;
         s.delta_checked = s.delta_checked.saturating_add(1);
@@ -1020,19 +1120,19 @@ impl SdxRuntime {
                 s.delta_rejected = s.delta_rejected.saturating_add(1);
             }
         }
-        s.delta_check_us = s.delta_check_us.saturating_add(report.check_us);
-        s.last_check_us = s.last_check_us.saturating_add(report.check_us);
+        s.delta_check_ns = s.delta_check_ns.saturating_add(check_ns);
+        s.delta_check_us = s.delta_check_ns / 1_000;
+        s.last_check_ns = s.last_check_ns.saturating_add(check_ns);
 
         // From-scratch oracle on sampled events: same verdict pipeline, no
         // cache, no gate, full universe — the soundness cross-check.
         let mut from_scratch = None;
         let mut from_scratch_us = 0;
         let mut agreed = None;
-        if sample_due {
-            let t = tables.as_deref().expect("sampled events carry tables");
+        if let (true, Some(ev), Some(t)) = (sample_due, &ev, tables.as_deref()) {
             let c = self.delta_checker.as_ref().expect("checker present");
             let t0 = Instant::now();
-            let fs = c.check_from_scratch(&ev, t);
+            let fs = c.check_from_scratch(ev, t);
             from_scratch_us = clamp_us(t0.elapsed().as_micros());
             agreed = Some(report.agrees_with(&fs));
             from_scratch = Some(fs);
@@ -1058,12 +1158,13 @@ impl SdxRuntime {
             self.delta_log.push(DeltaRecord {
                 prefix,
                 report,
+                certificate,
                 from_scratch,
                 from_scratch_us,
                 agreed,
             });
         }
-        Some((ev, denied))
+        (denied, ev)
     }
 
     /// The next hop the route server advertises to `viewer` for `prefix`:
@@ -1071,17 +1172,20 @@ impl SdxRuntime {
     /// belongs to an FEC, otherwise the original next hop of the viewer's
     /// best route ("the SDX behaves like a normal route server").
     pub fn advertised_next_hop(&self, prefix: &Prefix, viewer: ParticipantId) -> Option<Ipv4Addr> {
-        if let Some(o) = self.overlays.iter().find(|o| o.prefix == *prefix) {
-            return Some(o.vnh);
+        self.virtual_next_hop(prefix).or_else(|| {
+            self.route_server
+                .best_route(prefix, viewer.peer())
+                .map(|c| c.route.attrs.next_hop)
+        })
+    }
+
+    /// The VNH substituted for `prefix`'s next hop, if any: the covering
+    /// overlay's, else the compiled group's.
+    fn virtual_next_hop(&self, prefix: &Prefix) -> Option<Ipv4Addr> {
+        match self.overlays.iter().find(|o| o.prefix == *prefix) {
+            Some(o) => Some(o.vnh),
+            None => self.compilation.as_ref()?.vnh_of(prefix),
         }
-        if let Some(c) = &self.compilation {
-            if let Some(vnh) = c.vnh_of(prefix) {
-                return Some(vnh);
-            }
-        }
-        self.route_server
-            .best_route(prefix, viewer.peer())
-            .map(|c| c.route.attrs.next_hop)
     }
 
     /// The full re-advertisement of `prefix` to `viewer`, with the SDX's
@@ -1173,10 +1277,10 @@ impl SdxRuntime {
                 continue;
             }
             match self.route_server.best_route(&prefix, viewer.peer()) {
-                Some(_) => {
+                Some(best) => {
                     let nh = self
-                        .advertised_next_hop(&prefix, viewer)
-                        .expect("best route implies next hop");
+                        .virtual_next_hop(&prefix)
+                        .unwrap_or(best.route.attrs.next_hop);
                     router.install_route(prefix, nh);
                     if let Some(mac) = self.arp.resolve(&nh) {
                         router.learn_arp(&ArpReply {
@@ -1275,16 +1379,12 @@ impl SdxRuntime {
             if own.contains(&prefix) {
                 continue;
             }
-            if self
-                .route_server
-                .best_route(&prefix, viewer.peer())
-                .is_none()
-            {
+            let Some(best) = self.route_server.best_route(&prefix, viewer.peer()) else {
                 continue;
-            }
+            };
             let nh = self
-                .advertised_next_hop(&prefix, viewer)
-                .expect("best route implies next hop");
+                .virtual_next_hop(&prefix)
+                .unwrap_or(best.route.attrs.next_hop);
             entries.push(sdx_analyze::FibEntry {
                 prefix,
                 next_hop: nh,
@@ -1308,7 +1408,7 @@ impl SdxRuntime {
     pub fn verify_input(&self) -> Option<sdx_analyze::VerifyInput> {
         let compilation = self.compilation.as_ref()?;
         let input = self.input();
-        let mut vi = crate::verify::build_verify_input(&input, compilation);
+        let mut vi = crate::verify::verify_input_shell(&input, compilation);
         vi.tables = self.installed_tables();
         // Fast-path overlays re-home prefixes onto fresh VNH/VMAC bindings:
         // pull them out of their base groups so the integrity pass checks
@@ -1383,7 +1483,7 @@ impl SdxRuntime {
             } else {
                 vec![fresh.fabric.clone()]
             };
-            let fibs = crate::verify::build_verify_input(&input, &fresh).fibs;
+            let fibs = crate::verify::model_fibs(&input, &fresh);
             (
                 sdx_analyze::DiffSide { tables, fibs },
                 crate::verify::physical_participants(&input),

@@ -26,21 +26,39 @@ use crate::ParticipantId;
 /// with FIB models synthesized from the compilation (what every router's
 /// state *will* be once it converges on the new advertisements).
 pub fn build_verify_input(input: &CompileInput<'_>, compilation: &Compilation) -> VerifyInput {
-    let mut vi = VerifyInput {
-        tables: vec![compilation.stage1.clone(), compilation.stage2.clone()],
+    let mut vi = verify_input_shell(input, compilation);
+    vi.tables = vec![compilation.stage1.clone(), compilation.stage2.clone()];
+    vi.fibs = model_fibs(input, compilation);
+    vi
+}
+
+/// Everything [`build_verify_input`] lowers except the tables and the FIB
+/// models, which the caller fills: from the compilation, or from the live
+/// switch and advertisements.
+pub(crate) fn verify_input_shell(
+    input: &CompileInput<'_>,
+    compilation: &Compilation,
+) -> VerifyInput {
+    VerifyInput {
+        tables: Vec::new(),
         participants: physical_participants(input),
         groups: group_bindings(compilation),
         fibs: Vec::new(),
         advertised: advertised_ground_truth(input),
         vport_base: VPORT_BASE,
-    };
+    }
+}
+
+/// The converged FIB model of every physical participant's border router,
+/// synthesized from a compilation, in [`physical_participants`] order.
+pub(crate) fn model_fibs(input: &CompileInput<'_>, compilation: &Compilation) -> Vec<FibModel> {
     let macs = interface_macs(input);
-    vi.fibs = vi
+    input
         .participants
-        .iter()
-        .map(|(id, _)| model_fib(input, compilation, ParticipantId(*id), &macs))
-        .collect();
-    vi
+        .values()
+        .filter(|p| p.is_physical())
+        .map(|p| model_fib(input, compilation, p.id, &macs))
+        .collect()
 }
 
 /// `(participant, physical ports)` for every physical participant.

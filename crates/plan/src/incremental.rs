@@ -1,13 +1,24 @@
-//! Incremental delta-safety verification: header-space checking of every
-//! streamed update at churn rate.
+//! Incremental delta-safety verification: header-space checking of
+//! streamed updates at churn rate.
 //!
 //! The batch planner ([`crate::plan`]) proves per-packet consistency for a
 //! full recompile by checking every intermediate state of the schedule
 //! against both FIB generations — milliseconds of symbolic work that would
-//! cap a streaming fast path at a few hundred updates per second. The
-//! [`IncrementalChecker`] gets the same verdict at microsecond cost by
-//! keeping the checking context alive across events and confining symbolic
-//! work to the header regions a delta actually touches:
+//! cap a streaming fast path at a few hundred updates per second.
+//!
+//! Two levels of evidence share this module:
+//!
+//! * [`fresh_tag_certified`] decides the common case from the schedule
+//!   alone: installs pinned to a freshly issued tag before the barrier,
+//!   removals pinned to the retiring overlay's tag after it. The runtime
+//!   gates every streamed delta with it, in O(steps) and with no model.
+//! * The [`IncrementalChecker`] keeps a model of the fabric's emissions and
+//!   decides *any* schedule. The runtime builds it only when evidence is
+//!   asked for — from-scratch oracle sampling, or naive-order judging for
+//!   `sdx-lint --delta` — and its verdict is then authoritative. It gets
+//!   the batch planner's verdict at microsecond cost by keeping the
+//!   checking context alive across events and confining symbolic work to
+//!   the header regions a delta actually touches:
 //!
 //! * **Persistent emissions model.** The per-(sender, port, tag) emission
 //!   map — which destinations each border router emits under which VMAC
@@ -61,7 +72,7 @@ use sdx_ip::{Prefix, PrefixSet};
 use sdx_policy::{Classifier, Field, Match, Pattern, Region};
 
 use crate::check::{self, Checker, Injection, Phase, SidePartition, Violation};
-use crate::delta::{apply, classifier_of, PlanStep, TableState};
+use crate::delta::{apply, classifier_of, DeltaOp, PlanStep, TableState};
 use crate::search::{judge_order, synthesize, Schedule};
 
 /// An emission key: (sender participant, ingress port, VMAC tag).
@@ -148,7 +159,56 @@ pub struct DeltaReport {
     pub check_us: u64,
 }
 
+/// The fresh-tag certificate: decide a streamed delta from its schedule
+/// alone, in O(steps) and with no emissions model. True only if every step
+/// before the barrier is an [`Install`](DeltaOp::Install) pinned (per
+/// [`Checker::affected_tag`]) to `new_tag`, every step from the barrier on
+/// is a [`Remove`](DeltaOp::Remove) pinned to `old_tag`, and the two tags
+/// differ. A `None` tag admits no step on its side of the barrier.
+///
+/// The caller vouches for the tags: `new_tag` was issued by the VNH
+/// allocator for this event and is bound to no live group or overlay, and
+/// `old_tag` is the tag of the overlay being retired, bound to nothing
+/// else. Then the [`IncrementalChecker`]'s structural gate would certify
+/// the same schedule, because neither phase has a dirty region:
+///
+/// * A fresh tag has no emissions in the old generation, so no
+///   pre-barrier install ([`Phase::Update`]) meets an emitting key.
+/// * The tag of the overlay being retired carries only this prefix, which
+///   the event re-homes (onto `new_tag`, or nowhere for a withdrawal), so
+///   that tag has no emissions in the new generation and no post-barrier
+///   removal ([`Phase::NewExact`]) meets an emitting key either.
+pub fn fresh_tag_certified(
+    schedule: &Schedule,
+    new_tag: Option<u64>,
+    old_tag: Option<u64>,
+) -> bool {
+    if new_tag.is_some() && new_tag == old_tag {
+        return false;
+    }
+    let pinned = |step: &PlanStep, op: DeltaOp, tag: Option<u64>| {
+        step.op == op && tag.is_some() && Checker::affected_tag(step) == tag
+    };
+    let barrier = schedule.barrier.min(schedule.order.len());
+    let (installs, removals) = schedule.order.split_at(barrier);
+    installs
+        .iter()
+        .all(|s| pinned(s, DeltaOp::Install, new_tag))
+        && removals.iter().all(|s| pinned(s, DeltaOp::Remove, old_tag))
+}
+
 impl DeltaReport {
+    /// The report of a delta decided by [`fresh_tag_certified`] alone:
+    /// certified structurally when `certified`, rejected (no witnesses —
+    /// nothing was modeled) otherwise.
+    pub fn from_certificate(certified: bool) -> DeltaReport {
+        let mut r = DeltaReport::certified(certified);
+        if !certified {
+            r.verdict = DeltaVerdict::Rejected;
+        }
+        r
+    }
+
     fn certified(structural: bool) -> DeltaReport {
         DeltaReport {
             verdict: DeltaVerdict::Certified,
@@ -233,7 +293,8 @@ pub struct IncStats {
     pub partition_seeded: u64,
     /// New-side partitions harvested back into the cache.
     pub partition_harvested: u64,
-    /// Full reseeds (one per compile).
+    /// Full reseeds (one when evidence mode switches on, then one per
+    /// compile).
     pub seeds: u64,
 }
 
@@ -241,9 +302,11 @@ fn sat(c: &mut u64, by: u64) {
     *c = c.saturating_add(by);
 }
 
-/// The persistent incremental verifier. One instance lives inside the
-/// runtime, reseeded at every full compile and consulted on every streamed
-/// delta before it is installed.
+/// The persistent incremental verifier. The runtime keeps one only while
+/// evidence is asked for (oracle sampling or naive-order judging): it is
+/// seeded when that mode switches on and at every full compile in it, and
+/// consulted on every streamed delta before it is installed. Otherwise the
+/// runtime gates deltas with [`fresh_tag_certified`] and keeps no model.
 #[derive(Debug, Default)]
 pub struct IncrementalChecker {
     /// Current emission map: key → destinations that key's router emits.
@@ -1187,5 +1250,128 @@ mod tests {
         assert!(c.emissions.is_empty());
         assert!(c.by_prefix.is_empty());
         assert!(c.advertised.get(&(2, SENDER)).unwrap().is_empty());
+    }
+
+    fn schedule(order: Vec<PlanStep>, barrier: usize) -> Schedule {
+        Schedule {
+            order,
+            barrier,
+            two_phase: true,
+        }
+    }
+
+    /// Every schedule the certificate accepts, the structural gate of a
+    /// seeded checker certifies too (the claim in its doc comment).
+    fn assert_structurally_certified(ev: &DeltaEvent) {
+        let (mut c, _) = seeded();
+        assert!(!c.needs_tables(ev));
+        let r = c.check_delta(ev, None);
+        assert_eq!(r.verdict, DeltaVerdict::Certified);
+        assert!(r.structural);
+    }
+
+    #[test]
+    fn certificate_accepts_mbb_fresh_tag_rehome() {
+        let ev = rehoming_event();
+        assert!(fresh_tag_certified(
+            &ev.schedule,
+            Some(NEW_TAG),
+            Some(OLD_TAG)
+        ));
+        assert_structurally_certified(&ev);
+    }
+
+    #[test]
+    fn certificate_accepts_withdraw_only_schedule() {
+        let removal = schedule(vec![step(DeltaOp::Remove, fwd_rule(OLD_TAG, 100))], 0);
+        assert!(fresh_tag_certified(&removal, None, Some(OLD_TAG)));
+        assert_structurally_certified(&DeltaEvent {
+            prefix: pfx("10.0.0.0/8"),
+            adds: vec![],
+            advert_now: vec![],
+            naive: removal.order.clone(),
+            schedule: removal,
+        });
+    }
+
+    #[test]
+    fn certificate_accepts_empty_schedule() {
+        let empty = schedule(vec![], 0);
+        assert!(fresh_tag_certified(&empty, None, None));
+        assert!(fresh_tag_certified(&empty, Some(NEW_TAG), None));
+        assert!(fresh_tag_certified(&empty, Some(NEW_TAG), Some(OLD_TAG)));
+    }
+
+    #[test]
+    fn certificate_rejects_unpinned_step() {
+        let mut rule = fwd_rule(NEW_TAG, 101);
+        rule.match_ = Match::on(Field::Port, Pattern::Exact(PORT as u64));
+        let s = schedule(vec![step(DeltaOp::Install, rule)], 1);
+        assert!(!fresh_tag_certified(&s, Some(NEW_TAG), Some(OLD_TAG)));
+    }
+
+    #[test]
+    fn certificate_rejects_install_pinned_to_old_tag() {
+        let s = schedule(
+            vec![
+                step(DeltaOp::Install, fwd_rule(OLD_TAG, 101)),
+                step(DeltaOp::Remove, fwd_rule(OLD_TAG, 100)),
+            ],
+            1,
+        );
+        assert!(!fresh_tag_certified(&s, Some(NEW_TAG), Some(OLD_TAG)));
+    }
+
+    #[test]
+    fn certificate_rejects_remove_before_barrier() {
+        let ev = DeltaEvent {
+            schedule: schedule(
+                vec![
+                    step(DeltaOp::Remove, fwd_rule(OLD_TAG, 100)),
+                    step(DeltaOp::Install, fwd_rule(NEW_TAG, 101)),
+                ],
+                1,
+            ),
+            ..rehoming_event()
+        };
+        assert!(!fresh_tag_certified(
+            &ev.schedule,
+            Some(NEW_TAG),
+            Some(OLD_TAG)
+        ));
+        // The model agrees that this order needs symbolic work.
+        let (c, _) = seeded();
+        assert!(c.needs_tables(&ev));
+        // The op alone decides it: a pre-barrier removal pinned to the
+        // fresh tag is refused too.
+        let s = schedule(vec![step(DeltaOp::Remove, fwd_rule(NEW_TAG, 101))], 1);
+        assert!(!fresh_tag_certified(&s, Some(NEW_TAG), Some(OLD_TAG)));
+    }
+
+    #[test]
+    fn certificate_rejects_remove_pinned_to_third_tag() {
+        let s = schedule(
+            vec![
+                step(DeltaOp::Install, fwd_rule(NEW_TAG, 101)),
+                step(DeltaOp::Remove, fwd_rule(0xCC, 100)),
+            ],
+            1,
+        );
+        assert!(!fresh_tag_certified(&s, Some(NEW_TAG), Some(OLD_TAG)));
+    }
+
+    #[test]
+    fn certificate_rejects_equal_tags() {
+        let ev = rehoming_event();
+        assert!(!fresh_tag_certified(
+            &ev.schedule,
+            Some(OLD_TAG),
+            Some(OLD_TAG)
+        ));
+        assert!(!fresh_tag_certified(
+            &schedule(vec![], 0),
+            Some(OLD_TAG),
+            Some(OLD_TAG)
+        ));
     }
 }

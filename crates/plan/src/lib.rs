@@ -39,7 +39,8 @@ pub use delta::{
     PlanStep, TableState,
 };
 pub use incremental::{
-    DeltaEvent, DeltaReport, DeltaVerdict, EmissionKey, IncStats, IncrementalChecker,
+    fresh_tag_certified, DeltaEvent, DeltaReport, DeltaVerdict, EmissionKey, IncStats,
+    IncrementalChecker,
 };
 pub use search::{judge_order, make_before_break, synthesize, Schedule, SearchResult};
 

@@ -3,7 +3,8 @@
 //! verdict (warm partition cache, restricted universe, structural gate)
 //! must be identical to a from-scratch header-space check of the same
 //! event over the full universe with a cold cache — verdict, synthesized
-//! schedule, and witness content alike.
+//! schedule, and witness content alike. Every delta the model-free
+//! fresh-tag certificate accepts must be certified structurally by both.
 //!
 //! The runtime's own sampling oracle does the comparison
 //! ([`DeltaReport::agrees_with`]); with the sample interval at 1 every
@@ -96,6 +97,7 @@ fn incremental_verdicts_match_from_scratch_oracle() {
     let mut rng = StdRng::seed_from_u64(0x000d_e17a_c4ec);
     let mut fabrics = 0usize;
     let mut checked = 0usize;
+    let mut certificates = 0usize;
     let mut flips = 0usize;
     while fabrics < 32 {
         let Some(mut sdx) = random_fabric(
@@ -153,9 +155,27 @@ fn incremental_verdicts_match_from_scratch_oracle() {
                 DeltaVerdict::Rejected,
                 "fabric {fabrics}: MBB streamed schedules never reject"
             );
+            if r.certificate {
+                certificates += 1;
+                assert_eq!(
+                    r.report.verdict,
+                    DeltaVerdict::Certified,
+                    "fabric {fabrics}, prefix {}: certificate without certification",
+                    r.prefix
+                );
+                assert!(
+                    r.report.structural,
+                    "fabric {fabrics}, prefix {}: certified delta needed symbolic work",
+                    r.prefix
+                );
+            }
         }
     }
     assert!(checked >= 64, "only {checked} events cross-checked");
+    assert!(
+        certificates >= 64,
+        "only {certificates} of {checked} deltas carried the fresh-tag certificate"
+    );
     assert!(flips >= 8, "only {flips} remove+install flips exercised");
 }
 
@@ -231,4 +251,190 @@ fn forced_deny_falls_back_to_reoptimize_and_recovers() {
     assert_eq!(sdx.incremental_stats().delta_denied, 1, "no further denies");
     let stats = sdx.reoptimize().expect("second reoptimize");
     assert_eq!(stats.delta_deny_fallbacks, 0, "the deny window must reset");
+}
+
+/// Per-table content fingerprints of the installed pipeline.
+fn table_fingerprints(sdx: &SdxRuntime) -> Vec<u64> {
+    let switch = sdx.switch();
+    (0..switch.table_count())
+        .map(|i| switch.table_at(i).expect("table in range").fingerprint())
+        .collect()
+}
+
+/// The model-free gate (fresh-tag certificate only) and the evidence gate
+/// (incremental checker holding every verdict, oracle on every event) make
+/// identical decisions: driven through the same random fabrics and churn,
+/// with periodic reoptimizes, the two runtimes install identical tables and
+/// count identical verdicts after every event — and the lean one never
+/// builds the emissions model.
+#[test]
+fn lean_gate_matches_evidence_gate() {
+    let mut rng = StdRng::seed_from_u64(0x1ea4_e71d);
+    let mut fabrics = 0usize;
+    let mut events = 0usize;
+    let mut denials = 0usize;
+    while fabrics < 32 {
+        let seed: u64 = rng.gen();
+        let options = CompileOptions {
+            delta_check: AnalysisMode::Deny,
+            ..Default::default()
+        };
+        let (Some(mut lean), Some(mut evidence)) = (
+            random_fabric(&mut StdRng::seed_from_u64(seed), options),
+            random_fabric(&mut StdRng::seed_from_u64(seed), options),
+        ) else {
+            continue;
+        };
+        fabrics += 1;
+        evidence.set_delta_check_sample(1);
+        assert!(lean.delta_checker_stats().is_none(), "lean compile seeded");
+        assert!(evidence.delta_checker_stats().is_some());
+
+        let n = lean.participants().count() as u32;
+        for step in 0..rng.gen_range(6..=12) {
+            let id = ParticipantId(rng.gen_range(1..=n));
+            let p: Prefix = PREFIXES[rng.gen_range(0..PREFIXES.len())].parse().unwrap();
+            let update = if rng.gen_bool(0.35) {
+                Update::withdraw([p])
+            } else {
+                let a = attrs(&mut rng, id);
+                Update::announce([p], a)
+            };
+            if step % 5 == 4 {
+                lean.reoptimize().expect("lean reoptimize");
+                evidence.reoptimize().expect("evidence reoptimize");
+            }
+            if step == 2 {
+                lean.inject_delta_deny(1);
+                evidence.inject_delta_deny(1);
+            }
+            let l = lean.apply_update_delta(id, &update);
+            let e = evidence.apply_update_delta(id, &update);
+            events += 1;
+            assert_eq!(
+                l, e,
+                "fabric {fabrics}: touched prefixes or rule delta differ"
+            );
+            assert_eq!(
+                table_fingerprints(&lean),
+                table_fingerprints(&evidence),
+                "fabric {fabrics}: installed tables diverged"
+            );
+            let (ls, es) = (lean.incremental_stats(), evidence.incremental_stats());
+            assert_eq!(ls.delta_checked, es.delta_checked, "fabric {fabrics}");
+            assert_eq!(ls.delta_certified, es.delta_certified, "fabric {fabrics}");
+            assert_eq!(ls.delta_denied, es.delta_denied, "fabric {fabrics}");
+            assert_eq!(lean.needs_reoptimize(), evidence.needs_reoptimize());
+            if lean.needs_reoptimize() {
+                lean.reoptimize().expect("lean recovery");
+                evidence.reoptimize().expect("evidence recovery");
+                denials += 1;
+            }
+        }
+        assert!(lean.delta_checker_stats().is_none(), "lean churn seeded");
+    }
+    assert!(events >= 200, "only {events} events compared");
+    assert!(denials >= 8, "only {denials} forced denials recovered");
+}
+
+/// The emissions model exists only while evidence is asked for: a lean
+/// compile builds none, turning sampling or naive judging on seeds it at
+/// once (and every compile reseeds it), turning both off drops it.
+#[test]
+fn evidence_model_is_built_only_on_demand() {
+    let mut rng = StdRng::seed_from_u64(0x05ee_d0dd);
+    let options = CompileOptions {
+        delta_check: AnalysisMode::Deny,
+        ..Default::default()
+    };
+    let mut sdx = loop {
+        if let Some(s) = random_fabric(&mut rng, options) {
+            break s;
+        }
+    };
+    assert!(sdx.delta_checker_stats().is_none());
+    sdx.reoptimize().expect("lean reoptimize");
+    assert!(sdx.delta_checker_stats().is_none());
+
+    sdx.set_delta_check_sample(1);
+    assert_eq!(sdx.delta_checker_stats().map(|s| s.seeds), Some(1));
+    sdx.reoptimize().expect("sampled reoptimize");
+    assert_eq!(sdx.delta_checker_stats().map(|s| s.seeds), Some(2));
+    sdx.set_delta_judge_naive(true);
+    assert_eq!(sdx.delta_checker_stats().map(|s| s.seeds), Some(2));
+    sdx.set_delta_check_sample(0);
+    assert!(
+        sdx.delta_checker_stats().is_some(),
+        "naive judging still on"
+    );
+    sdx.set_delta_judge_naive(false);
+    assert!(sdx.delta_checker_stats().is_none());
+    sdx.reoptimize().expect("lean reoptimize");
+    assert!(sdx.delta_checker_stats().is_none());
+
+    // Set before the first compile, the mode seeds at that compile.
+    let mut fresh = SdxRuntime::new(options);
+    fresh.set_delta_judge_naive(true);
+    assert!(
+        fresh.delta_checker_stats().is_none(),
+        "nothing compiled yet"
+    );
+    fresh.compile().expect("empty compile");
+    assert_eq!(fresh.delta_checker_stats().map(|s| s.seeds), Some(1));
+
+    // With the gate off there is nothing to gather evidence for.
+    let mut off = loop {
+        if let Some(s) = random_fabric(&mut rng, CompileOptions::default()) {
+            break s;
+        }
+    };
+    off.set_delta_check_sample(1);
+    assert!(off.delta_checker_stats().is_none());
+}
+
+/// The certificate checks the fresh tag rather than assuming it: after the
+/// VNH pool is replaced under a compiled runtime, the allocator hands out
+/// VMACs that live groups still carry. Those deltas fail the certificate;
+/// under Deny they install nothing and the reoptimize recovers.
+#[test]
+fn reissued_group_tag_fails_the_certificate() {
+    let mut rng = StdRng::seed_from_u64(0x0000_7a6e_d0de);
+    let options = CompileOptions {
+        delta_check: AnalysisMode::Deny,
+        ..Default::default()
+    };
+    let mut sdx = loop {
+        let Some(s) = random_fabric(&mut rng, options) else {
+            continue;
+        };
+        if s.compilation().is_some_and(|c| c.vnh.len() >= 3) {
+            break s;
+        }
+    };
+    sdx.set_delta_log_limit(1024);
+    sdx.set_vnh_pool("172.16.0.0/12".parse().unwrap());
+    let n = sdx.participants().count() as u32;
+    for _ in 0..64 {
+        let id = ParticipantId(rng.gen_range(1..=n));
+        let p: Prefix = PREFIXES[rng.gen_range(0..PREFIXES.len())].parse().unwrap();
+        let a = attrs(&mut rng, id);
+        let (_, delta) = sdx.apply_update_delta(id, &Update::announce([p], a));
+        if sdx.incremental_stats().delta_rejected > 0 {
+            assert_eq!(delta, Default::default(), "a denied delta must not install");
+            break;
+        }
+    }
+    let stats = sdx.incremental_stats();
+    assert_eq!(
+        stats.delta_rejected, 1,
+        "a reissued group tag must be refused"
+    );
+    assert_eq!(stats.delta_denied, 1);
+    assert!(sdx.needs_reoptimize());
+    let record = sdx.delta_log().last().expect("logged");
+    assert!(!record.certificate);
+    assert_eq!(record.report.verdict, DeltaVerdict::Rejected);
+
+    sdx.reoptimize().expect("recovery reoptimize");
+    assert!(!sdx.needs_reoptimize());
 }
